@@ -205,10 +205,12 @@ func BenchmarkPhaseKing(b *testing.B) {
 }
 
 // Campaign throughput benchmarks: the adversary hunt engine's probes/sec
-// at the two ends of the worker range. Each probe is a full cycle — plan
-// derivation, simulation, execution-guarantee validation, conformance
-// re-execution, property checks — so this is the number that tells you
-// how much adversarial ground a seed budget covers.
+// at the two ends of the worker range. Each probe is a lean cycle — plan
+// derivation, simulation at the decisions-and-counts tier, property
+// checks — and only a violating seed is replayed at full recording for
+// execution-guarantee validation and conformance re-execution, so this is
+// the number that tells you how much adversarial ground a seed budget
+// covers.
 
 func benchCampaign(b *testing.B, parallelism int, strategy expensive.AttackStrategy) {
 	b.Helper()

@@ -25,6 +25,7 @@ package fuzz
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"expensive/internal/adversary"
@@ -304,7 +305,7 @@ func (f *Fuzzer) seedProbe(i int, env adversary.Env, fo fuzzObs) (Outcome, error
 		t.Stop()
 		fo.probes.Inc()
 	}()
-	seed := adversary.SubSeed(f.FuzzSeed, fmt.Sprintf("seed|%d", i))
+	seed := adversary.SubSeed(f.FuzzSeed, "seed|"+strconv.Itoa(i))
 	plan := f.Seed.Build(seed, env)
 	proposals := f.seedProposals(seed, env)
 	cfg := sim.Config{N: f.N, T: f.T, Proposals: proposals, MaxRounds: env.Horizon}

@@ -2,7 +2,6 @@ package adversary
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 
 	"expensive/internal/msg"
@@ -38,20 +37,10 @@ type Strategy struct {
 	Proposals func(seed int64, env Env) []msg.Value
 }
 
-// subSeed mixes a seed with a salt string into a derived seed, so the
-// independent random choices of one probe never share a stream.
-func subSeed(seed int64, salt string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", seed, salt)
-	return int64(h.Sum64())
-}
-
-// SubSeed exposes the seed mixer to the fuzz package: campaign seed
-// sweeps and the fuzzer's seed generation must derive their streams the
-// same way, so there is exactly one mixer.
-func SubSeed(seed int64, salt string) int64 { return subSeed(seed, salt) }
-
 // rng returns the deterministic random stream of (seed, salt).
+// rand.NewSource reduces its seed modulo 2³¹−1, so only about 31 bits of
+// subSeed's 64-bit output select the stream: two salts whose sub-seeds
+// agree modulo 2³¹−1 share one stream.
 func rng(seed int64, salt string) *rand.Rand {
 	return rand.New(rand.NewSource(subSeed(seed, salt)))
 }
@@ -67,9 +56,7 @@ func coin(seed int64, m msg.Message, biasPct int) bool {
 	if biasPct >= 100 {
 		return true
 	}
-	h := fnv.New32a()
-	fmt.Fprintf(h, "%d|%d|%d|%d", seed, m.Sender, m.Receiver, m.Round)
-	return h.Sum32()%100 < uint32(biasPct)
+	return Mix32(seed, int64(m.Sender), int64(m.Receiver), int64(m.Round))%100 < uint32(biasPct)
 }
 
 // randomFaulty draws a non-empty random subset of at most t processes
@@ -229,6 +216,7 @@ func SenderIsolation() Strategy {
 // of the first strategy win ties.
 func Union(a, b Strategy) Strategy {
 	name := fmt.Sprintf("union(%s, %s)", a.Name, b.Name)
+	saltA, saltB := name+"|a", name+"|b"
 	s := Strategy{
 		Name: name,
 		Build: func(seed int64, env Env) sim.FaultPlan {
@@ -236,8 +224,8 @@ func Union(a, b Strategy) Strategy {
 			envA.T = (env.T + 1) / 2
 			envB.T = env.T / 2
 			return unionPlan{
-				a: a.Build(subSeed(seed, name+"|a"), envA),
-				b: b.Build(subSeed(seed, name+"|b"), envB),
+				a: a.Build(subSeed(seed, saltA), envA),
+				b: b.Build(subSeed(seed, saltB), envB),
 			}
 		},
 	}
@@ -245,11 +233,11 @@ func Union(a, b Strategy) Strategy {
 	switch {
 	case a.Proposals != nil:
 		s.Proposals = func(seed int64, env Env) []msg.Value {
-			return a.Proposals(subSeed(seed, name+"|a"), env)
+			return a.Proposals(subSeed(seed, saltA), env)
 		}
 	case b.Proposals != nil:
 		s.Proposals = func(seed int64, env Env) []msg.Value {
-			return b.Proposals(subSeed(seed, name+"|b"), env)
+			return b.Proposals(subSeed(seed, saltB), env)
 		}
 	}
 	return s

@@ -25,7 +25,6 @@ package chaosnet
 import (
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"math/rand"
 	"strings"
 	"sync"
@@ -196,9 +195,7 @@ func (p *Plan) crossesCut(seed int64, window int, from, to proc.ID) bool {
 }
 
 func side(seed int64, window int, id proc.ID) bool {
-	h := fnv.New32a()
-	fmt.Fprintf(h, "%d|%d|%d", seed, window, id)
-	return h.Sum32()%2 == 0
+	return adversary.Mix32(seed, int64(window), int64(id))%2 == 0
 }
 
 // hit is the chaos analogue of the adversary's per-message coin: the same
@@ -210,9 +207,7 @@ func hit(seed int64, from, to proc.ID, seq, pct int) bool {
 	if pct >= 100 {
 		return true
 	}
-	h := fnv.New32a()
-	fmt.Fprintf(h, "%d|%d|%d|%d", seed, from, to, seq)
-	return h.Sum32()%100 < uint32(pct)
+	return adversary.Mix32(seed, int64(from), int64(to), int64(seq))%100 < uint32(pct)
 }
 
 // delayFor draws the deterministic latency of a fired Delay rule, in
@@ -221,9 +216,7 @@ func delayFor(seed int64, from, to proc.ID, seq int, max time.Duration) time.Dur
 	if max <= 0 {
 		max = 10 * time.Millisecond
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "delay|%d|%d|%d|%d", seed, from, to, seq)
-	return 1 + time.Duration(h.Sum64()%uint64(max))
+	return 1 + time.Duration(adversary.Mix64("delay", seed, int64(from), int64(to), int64(seq))%uint64(max))
 }
 
 // Profile is a named plan constructor, the chaos twin of
