@@ -530,7 +530,7 @@ func (c *Campaign) env() Env {
 // single process proposing the minority value) — the shape most splitting
 // attacks need.
 func defaultProposals(seed int64, env Env) []msg.Value {
-	r := rng(seed, "proposals")
+	r := Stream(seed, "proposals")
 	out := make([]msg.Value, env.N)
 	if r.Intn(4) == 0 {
 		lone := r.Intn(env.N)

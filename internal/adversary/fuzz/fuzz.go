@@ -345,7 +345,7 @@ func (f *Fuzzer) seedProposals(seed int64, env adversary.Env) []msg.Value {
 		}
 	}
 	m := mutator{n: f.N, t: f.T, horizon: env.Horizon}
-	return m.reseedProposals(stream(seed, "proposals"))
+	return m.reseedProposals(adversary.Stream(seed, "proposals"))
 }
 
 // mutantProbe runs one mutated candidate at the lean RecordDecisions tier

@@ -234,7 +234,7 @@ func TestMutatorInvariants(t *testing.T) {
 	env := adversary.Env{N: n, T: tf, Rounds: floodset.RoundBound(tf), Horizon: horizon, Factory: factory}
 
 	for i := 0; i < 600; i++ {
-		c := m.mutate(stream(42, string(rune(i))), corpus)
+		c := m.mutate(adversary.Stream(42, string(rune(i))), corpus)
 		p := &c.Plan
 		if len(p.Faulty) > tf {
 			t.Fatalf("op %s: %d faulty > t=%d", c.Op, len(p.Faulty), tf)

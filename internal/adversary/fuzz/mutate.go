@@ -22,16 +22,9 @@ type Candidate struct {
 	Op     string `json:"op"`
 }
 
-// stream returns the deterministic random stream of (seed, salt), derived
-// through the strategy library's own seed mixer (adversary.SubSeed) so
-// every (generation, slot) pair owns an independent stream and seed
-// derivation stays interoperable with campaigns.
-func stream(seed int64, salt string) *rand.Rand {
-	return rand.New(rand.NewSource(adversary.SubSeed(seed, salt)))
-}
-
 // mutator derives candidates from corpus parents. All choices come from
-// the candidate's private rand stream, so derivation is a pure function of
+// the candidate's private adversary.Stream, salted with its (generation,
+// slot) pair, so derivation is a pure function of
 // (master seed, generation, slot, corpus-at-generation-start) — the
 // determinism the byte-identical-corpus guarantee rests on.
 type mutator struct {

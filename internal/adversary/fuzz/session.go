@@ -124,7 +124,7 @@ func (s *Session) NextGeneration() *Generation {
 	g := &Generation{Gen: s.nextGen, Count: min(s.f.genSize(), s.f.Budget-s.report.Probes)}
 	g.Candidates = make([]Candidate, g.Count)
 	for i := range g.Candidates {
-		g.Candidates[i] = s.m.mutate(stream(s.f.FuzzSeed, "g"+strconv.Itoa(g.Gen)+"|s"+strconv.Itoa(i)), s.corpus)
+		g.Candidates[i] = s.m.mutate(adversary.Stream(s.f.FuzzSeed, "g"+strconv.Itoa(g.Gen)+"|s"+strconv.Itoa(i)), s.corpus)
 	}
 	s.nextGen++
 	return g

@@ -34,9 +34,9 @@ const (
 func (s MachineSpec) build(env Env, id proc.ID) sim.Machine {
 	switch s.Kind {
 	case KindChaos:
-		return &chaosMachine{n: env.N, id: id, seed: s.Seed, quiet: env.Horizon}
+		return &chaosMachine{n: env.N, id: id, seed: s.Seed, send: newCoin(s.Seed), garble: newCoin(s.Seed + 1), quiet: env.Horizon}
 	case KindEquivocate:
-		return &equivocator{n: env.N, id: id, seed: s.Seed, quiet: env.Horizon}
+		return &equivocator{n: env.N, id: id, side: newCoin(s.Seed), quiet: env.Horizon}
 	case KindTwoFaced:
 		if env.Factory != nil {
 			return newTwoFaced(env, id, s.Seed)
@@ -86,7 +86,7 @@ func (p byzPlan) Specs() []ByzEntry { return p.specs }
 // each with a freshly seeded machine of the given kind.
 func byzStrategy(name, kind string) Strategy {
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
-		r := rng(seed, name)
+		r := Stream(seed, name)
 		f := randomFaulty(r, env.N, env.T)
 		machines := make(map[proc.ID]sim.Machine, f.Len())
 		entries := make([]ByzEntry, 0, f.Len())
@@ -138,10 +138,11 @@ func (silentMachine) Quiescent() bool { return true }
 // stress suite): each round it sends a deterministic-pseudo-random payload
 // to a pseudo-random subset of peers, occasionally malformed on purpose.
 type chaosMachine struct {
-	n     int
-	id    proc.ID
-	seed  int64
-	quiet int // stop after this many rounds to bound the run
+	n            int
+	id           proc.ID
+	seed         int64
+	send, garble coin // of seed and seed+1
+	quiet        int  // stop after this many rounds to bound the run
 }
 
 var _ sim.Machine = (*chaosMachine)(nil)
@@ -153,11 +154,11 @@ func (m *chaosMachine) emit(round int) []sim.Outgoing {
 			continue
 		}
 		probe := msg.Message{Sender: m.id, Receiver: proc.ID(p), Round: round}
-		if !coin(m.seed, probe, 60) {
+		if !m.send.flip(probe, 60) {
 			continue
 		}
 		payload := string(msg.Bit(int(m.seed+int64(p)+int64(round)) % 2))
-		if coin(m.seed+1, probe, 20) {
+		if m.garble.flip(probe, 20) {
 			payload = `{"garbage":` // malformed on purpose
 		}
 		out = append(out, sim.Outgoing{To: proc.ID(p), Payload: payload})
@@ -189,7 +190,7 @@ func (m *chaosMachine) Quiescent() bool { return false }
 type equivocator struct {
 	n     int
 	id    proc.ID
-	seed  int64
+	side  coin
 	quiet int
 }
 
@@ -201,9 +202,9 @@ func (m *equivocator) emit() []sim.Outgoing {
 		if proc.ID(p) == m.id {
 			continue
 		}
-		side := msg.Message{Sender: m.id, Receiver: proc.ID(p)} // round 0: split is round-invariant
+		key := msg.Message{Sender: m.id, Receiver: proc.ID(p)} // round 0: split is round-invariant
 		v := msg.Zero
-		if coin(m.seed, side, 50) {
+		if m.side.flip(key, 50) {
 			v = msg.One
 		}
 		out = append(out, sim.Outgoing{To: proc.ID(p), Payload: string(v)})
@@ -235,7 +236,7 @@ func (m *equivocator) Quiescent() bool { return false }
 type twoFaced struct {
 	id   proc.ID
 	a, b sim.Machine
-	seed int64
+	side coin
 }
 
 var _ sim.Machine = (*twoFaced)(nil)
@@ -245,13 +246,13 @@ func newTwoFaced(env Env, id proc.ID, seed int64) *twoFaced {
 		id:   id,
 		a:    env.Factory(id, msg.Zero),
 		b:    env.Factory(id, msg.One),
-		seed: seed,
+		side: newCoin(seed),
 	}
 }
 
 // sideA reports whether peer p is shown copy a's behavior.
 func (m *twoFaced) sideA(p proc.ID) bool {
-	return coin(m.seed, msg.Message{Sender: m.id, Receiver: p}, 50)
+	return m.side.flip(msg.Message{Sender: m.id, Receiver: p}, 50)
 }
 
 func (m *twoFaced) route(outA, outB []sim.Outgoing) []sim.Outgoing {

@@ -1,6 +1,10 @@
 package adversary
 
-import "strconv"
+import (
+	"strconv"
+
+	"expensive/internal/msg"
+)
 
 // FNV-1a parameters, as hash/fnv's New32a and New64a use them.
 const (
@@ -50,6 +54,34 @@ func fnv64[T string | []byte](h uint64, b T) uint64 {
 func Mix32(fields ...int64) uint32 {
 	var buf [keyCap]byte
 	return fnv32(offset32, appendKey(buf[:0], fields))
+}
+
+// coin makes deterministic pseudo-random decisions for messages under one
+// seed: the same (seed, message identity) always lands the same way, which
+// keeps predicate-based fault plans valid static adversaries. It holds the
+// FNV-1a state after the key prefix "seed|", hashed once per plan or
+// machine, so a flip hashes only "sender|receiver|round" and its hash is
+// Mix32(seed, sender, receiver, round) by construction.
+type coin uint32
+
+func newCoin(seed int64) coin {
+	var buf [keyCap]byte
+	return coin(fnv32(offset32, append(strconv.AppendInt(buf[:0], seed, 10), '|')))
+}
+
+// flip reports whether message m falls under the biasPct percent side of
+// the coin. Percentages outside 0..100 behave as the nearest bound
+// (never/always).
+func (c coin) flip(m msg.Message, biasPct int) bool {
+	if biasPct <= 0 {
+		return false
+	}
+	if biasPct >= 100 {
+		return true
+	}
+	var buf [keyCap]byte
+	key := appendKey(buf[:0], []int64{int64(m.Sender), int64(m.Receiver), int64(m.Round)})
+	return fnv32(uint32(c), key)%100 < uint32(biasPct)
 }
 
 // Mix64 is the 64-bit FNV-1a hash of the key "label|f0|f1|…", fields in

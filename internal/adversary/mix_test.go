@@ -68,8 +68,8 @@ func TestCoinMatchesReference(t *testing.T) {
 		}
 		for _, bias := range []int{-5, 0, 1, 40, 99, 100, 250} {
 			ref := bias >= 100 || bias > 0 && want%100 < uint32(bias)
-			if got := coin(k[0], m, bias); got != ref {
-				t.Fatalf("coin(%d, %v, %d) = %v, reference %v", k[0], m, bias, got, ref)
+			if got := newCoin(k[0]).flip(m, bias); got != ref {
+				t.Fatalf("newCoin(%d).flip(%v, %d) = %v, reference %v", k[0], m, bias, got, ref)
 			}
 		}
 	}
@@ -88,7 +88,7 @@ func TestSubSeedMatchesReference(t *testing.T) {
 func TestMixerAllocationFree(t *testing.T) {
 	m := msg.Message{Sender: 3, Receiver: 11, Round: 7}
 	salt := strings.Repeat("long salt ", 40)
-	if a := testing.AllocsPerRun(100, func() { coin(math.MinInt64, m, 40) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { newCoin(math.MinInt64).flip(m, 40) }); a != 0 {
 		t.Errorf("coin allocates %v times per call", a)
 	}
 	if a := testing.AllocsPerRun(100, func() { subSeed(math.MinInt64, salt) }); a != 0 {

@@ -37,28 +37,6 @@ type Strategy struct {
 	Proposals func(seed int64, env Env) []msg.Value
 }
 
-// rng returns the deterministic random stream of (seed, salt).
-// rand.NewSource reduces its seed modulo 2³¹−1, so only about 31 bits of
-// subSeed's 64-bit output select the stream: two salts whose sub-seeds
-// agree modulo 2³¹−1 share one stream.
-func rng(seed int64, salt string) *rand.Rand {
-	return rand.New(rand.NewSource(subSeed(seed, salt)))
-}
-
-// coin makes a deterministic pseudo-random decision for a message under a
-// seed: the same (seed, message identity) always lands the same way, which
-// keeps predicate-based fault plans valid static adversaries. Percentages
-// outside 0..100 behave as the nearest bound (never/always).
-func coin(seed int64, m msg.Message, biasPct int) bool {
-	if biasPct <= 0 {
-		return false
-	}
-	if biasPct >= 100 {
-		return true
-	}
-	return Mix32(seed, int64(m.Sender), int64(m.Receiver), int64(m.Round))%100 < uint32(biasPct)
-}
-
 // randomFaulty draws a non-empty random subset of at most t processes
 // (empty when the budget t is zero, as happens under Union sub-budgets).
 func randomFaulty(r *rand.Rand, n, t int) proc.Set {
@@ -78,12 +56,12 @@ func randomFaulty(r *rand.Rand, n, t int) proc.Set {
 func RandomSendOmission(biasPct int) Strategy {
 	name := fmt.Sprintf("random-send-omission(bias=%d%%)", biasPct)
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
-		r := rng(seed, name)
+		r := Stream(seed, name)
 		f := randomFaulty(r, env.N, env.T)
-		s := r.Int63()
+		c := newCoin(r.Int63())
 		return sim.OmissionPlan{
 			F:      f,
-			SendFn: func(m msg.Message) bool { return coin(s, m, biasPct) },
+			SendFn: func(m msg.Message) bool { return c.flip(m, biasPct) },
 		}
 	}}
 }
@@ -93,12 +71,12 @@ func RandomSendOmission(biasPct int) Strategy {
 func RandomReceiveOmission(biasPct int) Strategy {
 	name := fmt.Sprintf("random-receive-omission(bias=%d%%)", biasPct)
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
-		r := rng(seed, name)
+		r := Stream(seed, name)
 		f := randomFaulty(r, env.N, env.T)
-		s := r.Int63()
+		c := newCoin(r.Int63())
 		return sim.OmissionPlan{
 			F:         f,
-			ReceiveFn: func(m msg.Message) bool { return coin(s, m, biasPct) },
+			ReceiveFn: func(m msg.Message) bool { return c.flip(m, biasPct) },
 		}
 	}}
 }
@@ -109,13 +87,13 @@ func RandomReceiveOmission(biasPct int) Strategy {
 func RandomOmission(biasPct int) Strategy {
 	name := fmt.Sprintf("random-omission(bias=%d%%)", biasPct)
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
-		r := rng(seed, name)
+		r := Stream(seed, name)
 		f := randomFaulty(r, env.N, env.T)
-		sendSeed, recvSeed := r.Int63(), r.Int63()
+		send, recv := newCoin(r.Int63()), newCoin(r.Int63())
 		return sim.OmissionPlan{
 			F:         f,
-			SendFn:    func(m msg.Message) bool { return coin(sendSeed, m, biasPct) },
-			ReceiveFn: func(m msg.Message) bool { return coin(recvSeed, m, biasPct) },
+			SendFn:    func(m msg.Message) bool { return send.flip(m, biasPct) },
+			ReceiveFn: func(m msg.Message) bool { return recv.flip(m, biasPct) },
 		}
 	}}
 }
@@ -126,7 +104,7 @@ func RandomOmission(biasPct int) Strategy {
 func SilentCrash() Strategy {
 	const name = "silent-crash"
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
-		r := rng(seed, name)
+		r := Stream(seed, name)
 		f := randomFaulty(r, env.N, env.T)
 		specs := make(map[proc.ID]sim.CrashSpec, f.Len())
 		for _, id := range f.Members() {
@@ -146,7 +124,7 @@ func SilentCrash() Strategy {
 // withholding attack. Build and Proposals share it, so the proposal vector
 // always gives the attacker the uniquely small value its attack needs.
 func targetParams(seed int64, env Env) (attacker, victim proc.ID, pivot int) {
-	r := rng(seed, "targeted-withhold")
+	r := Stream(seed, "targeted-withhold")
 	attacker = proc.ID(r.Intn(env.N))
 	victim = proc.ID(r.Intn(env.N - 1))
 	if victim >= attacker {
@@ -203,7 +181,7 @@ func TargetedWithhold() Strategy {
 func SenderIsolation() Strategy {
 	const name = "sender-isolation"
 	return Strategy{Name: name, Build: func(seed int64, env Env) sim.FaultPlan {
-		r := rng(seed, name)
+		r := Stream(seed, name)
 		group := randomFaulty(r, env.N, env.T)
 		from := 1 + r.Intn(env.Horizon)
 		return omission.Isolation(group, from)
@@ -305,10 +283,10 @@ func Biased(s Strategy, keepPct int) Strategy {
 	return Strategy{
 		Name: name,
 		Build: func(seed int64, env Env) sim.FaultPlan {
-			keepSeed := subSeed(seed, name)
+			keep := newCoin(subSeed(seed, name))
 			return filteredPlan{
 				inner: s.Build(seed, env),
-				keep:  func(m msg.Message) bool { return coin(keepSeed, m, keepPct) },
+				keep:  func(m msg.Message) bool { return keep.flip(m, keepPct) },
 			}
 		},
 		Proposals: s.Proposals,

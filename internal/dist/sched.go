@@ -112,11 +112,15 @@ func (s *scheduler) log(name string, kv ...any) {
 	}
 }
 
-// post delivers an event unless the scheduler has shut down.
-func (s *scheduler) post(ev schedEvent) {
+// post delivers an event, or gives up once the scheduler has shut down,
+// and reports whether it delivered. After shutdown has begun it may still
+// deliver into the buffer, where no execute will take the event up.
+func (s *scheduler) post(ev schedEvent) bool {
 	select {
 	case s.events <- ev:
+		return true
 	case <-s.closed:
+		return false
 	}
 }
 
@@ -141,7 +145,7 @@ func (s *scheduler) acceptLoop(ln net.Listener) {
 // reader. Runs on its own goroutine so a stalled dialer cannot block
 // admission of others.
 func (s *scheduler) handshake(conn *Conn) {
-	m, err := conn.Recv(s.hbTimeout)
+	m, err := conn.recv(s.hbTimeout, maxHelloFrame)
 	if err != nil || m.Kind != MsgHello || m.Hello == nil {
 		_ = conn.Close()
 		return
@@ -156,8 +160,35 @@ func (s *scheduler) handshake(conn *Conn) {
 		return
 	}
 	w := &remoteWorker{name: m.Hello.Name, conn: conn}
-	s.post(schedEvent{w: w, join: true})
+	if !s.post(schedEvent{w: w, join: true}) || s.isClosed() {
+		// The campaign ended before or while this worker joined. It already
+		// holds the job, so it must hear done rather than wait forever. A
+		// join posted before shutdown is released by shutdown as well (as a
+		// worker or from the drained buffer); a join that lands in the
+		// buffer after shutdown's drain is released only here. The second
+		// done of a doubly released worker is never read.
+		release(conn)
+		return
+	}
 	go s.reader(w)
+}
+
+// isClosed reports whether shutdown has begun.
+func (s *scheduler) isClosed() bool {
+	select {
+	case <-s.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// release tells a worker the campaign is over and closes its connection.
+// Releasing a worker twice is harmless: the second send fails or goes
+// unread.
+func release(conn *Conn) {
+	_ = conn.Send(&Message{Kind: MsgDone})
+	_ = conn.Close()
 }
 
 // reader drains one worker's connection. Every Recv is bounded by the
@@ -400,14 +431,24 @@ func (s *scheduler) drop(w *remoteWorker, queue []*Unit, outstanding int, done m
 	return queue, outstanding
 }
 
-// shutdown sends done to every live worker and stops event delivery.
+// shutdown stops event delivery and sends done to every live worker,
+// including those whose join was posted but never taken up by execute.
 func (s *scheduler) shutdown() {
 	s.once.Do(func() {
 		close(s.closed)
 		for _, w := range s.workers {
 			if !w.dead {
-				_ = w.conn.Send(&Message{Kind: MsgDone})
-				_ = w.conn.Close()
+				release(w.conn)
+			}
+		}
+		for {
+			select {
+			case ev := <-s.events:
+				if ev.join {
+					release(ev.w.conn)
+				}
+			default:
+				return
 			}
 		}
 	})

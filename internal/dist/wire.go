@@ -24,6 +24,13 @@ const ProtocolVersion = 2
 // away.
 const maxFrame = 64 << 20
 
+// maxHelloFrame bounds the frame a coordinator reads before a worker's
+// hello has admitted the connection: a hello is a version and a name, well
+// under a kilobyte, so 64 KiB leaves room for any real name while an
+// unauthenticated length prefix can no longer make the coordinator
+// allocate up to maxFrame.
+const maxHelloFrame = 64 << 10
+
 // MsgKind discriminates wire messages.
 type MsgKind string
 
@@ -148,7 +155,11 @@ func classify(err error) error {
 // Recv reads one framed message. A positive timeout arms a read deadline
 // covering the whole frame — the coordinator's dead-worker detector and
 // the worker's handshake guard; 0 blocks indefinitely.
-func (c *Conn) Recv(timeout time.Duration) (*Message, error) {
+func (c *Conn) Recv(timeout time.Duration) (*Message, error) { return c.recv(timeout, maxFrame) }
+
+// recv is Recv for frames of at most limit bytes: a longer declared
+// length is an error before any of the body is read or allocated.
+func (c *Conn) recv(timeout time.Duration, limit uint32) (*Message, error) {
 	if timeout > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 			return nil, fmt.Errorf("dist: arm read deadline: %w", err)
@@ -163,8 +174,8 @@ func (c *Conn) Recv(timeout time.Duration) (*Message, error) {
 		return nil, fmt.Errorf("dist: read frame length: %w", classify(err))
 	}
 	n := binary.BigEndian.Uint32(prefix[:])
-	if n == 0 || n > maxFrame {
-		return nil, fmt.Errorf("dist: frame length %d outside (0, %d]", n, maxFrame)
+	if n == 0 || n > limit {
+		return nil, fmt.Errorf("dist: frame length %d outside (0, %d]", n, limit)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(c.c, body); err != nil {

@@ -25,7 +25,6 @@ package chaosnet
 import (
 	"fmt"
 	"hash/crc32"
-	"math/rand"
 	"strings"
 	"sync"
 	"time"
@@ -120,7 +119,7 @@ func NewPlan(name string, seed int64, env Env, rules ...Rule) *Plan {
 		p.ruleSeeds[i] = adversary.SubSeed(seed, fmt.Sprintf("chaosnet|%s|rule%d|%s", name, i, r.Kind))
 	}
 	if env.T > 0 {
-		rng := rand.New(rand.NewSource(adversary.SubSeed(seed, "chaosnet|"+name+"|budget")))
+		rng := adversary.Stream(seed, "chaosnet|"+name+"|budget")
 		count := 1 + rng.Intn(env.T)
 		for p.budget.Len() < count {
 			p.budget = p.budget.Add(proc.ID(rng.Intn(env.N)))
