@@ -477,8 +477,8 @@ func runHunt(args []string) error {
 			rebuild := spec.Rebuilder(params)
 			factory2, rounds2, err := rebuild(v.Shrunk.N, *t)
 			if err == nil {
-				env := adversary.Env{N: v.Shrunk.N, T: *t, Rounds: rounds2, Horizon: rounds2 + 2, Factory: factory2}
-				cfg := sim.Config{N: v.Shrunk.N, T: *t, Proposals: v.Shrunk.Proposals, MaxRounds: rounds2 + 2}
+				env := adversary.Env{N: v.Shrunk.N, T: *t, Rounds: rounds2, Horizon: v.Shrunk.Horizon, Factory: factory2}
+				cfg := sim.Config{N: v.Shrunk.N, T: *t, Proposals: v.Shrunk.Proposals, MaxRounds: env.Horizon}
 				if e, rerr := sim.Run(cfg, factory2, v.Shrunk.Plan.Plan(env)); rerr == nil {
 					fmt.Println("\nminimal counterexample timeline:")
 					fmt.Print(viz.Timeline(e, viz.Options{MaxRounds: 12}))

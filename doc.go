@@ -108,7 +108,9 @@
 // NewProblemCampaign); every violating probe additionally passes the full
 // evidence pipeline — the five Appendix A.1.6 execution guarantees,
 // honest-machine conformance (sim.Conforms), and extraction of an
-// explicit, JSON-serializable fault plan. Shrink reduces violations —
+// explicit, JSON-serializable fault plan. That pipeline is written once
+// (adversary.Probe over adversary.RunVerified) and shared by campaigns,
+// the fuzzer, the shrinker and RecheckViolation. Shrink reduces violations —
 // fewer corrupted processes, fewer omitted messages, smaller n — and
 // RecheckViolation re-validates the final certificate from scratch,
 // exactly like the falsifier's CheckViolation. (Set Campaign.RecordFull
@@ -259,8 +261,8 @@
 //     omission machinery (swap, merge, isolation checks), Shrink and
 //     RecheckViolation.
 //   - RecordDecisions: per-process decisions and per-round message
-//     counts, no message slices, produced by a pooled, allocation-free
-//     round loop. Enough for Termination/Agreement/validity verdicts,
+//     counts, no message slices. The same pooled round loop counts
+//     instead of recording and allocates nothing per round. Enough for Termination/Agreement/validity verdicts,
 //     round counts and the paper's message-complexity metric
 //     (Execution.CorrectMessages reads the lean counts directly).
 //

@@ -21,16 +21,24 @@
 //     does derives from its explicit seed, so every discovered failure
 //     replays bit-for-bit.
 //
+//   - Probe (probe.go) — the one probe pipeline. RunVerified runs a
+//     configuration at sim.RecordFull, validates the trace against the
+//     five Appendix A.1.6 execution guarantees, re-runs every honest
+//     machine against its recorded inputs (sim.Conforms), and checks
+//     Termination, Agreement, and a pluggable validity property
+//     (CheckExecution). Probe runs a configuration at either tier and
+//     sends only a violating lean run through RunVerified, requiring the
+//     same verdict, before it extracts the evidence. Campaigns, the
+//     fuzzer (package fuzz), the shrinker and Recheck all go through it.
+//
 //   - Campaign (campaign.go, problem.go) — fans a seed range out over the
 //     experiment engine's worker pool (internal/experiments/runner). Each
-//     probe builds the strategy's plan for its seed, runs the protocol in
-//     the deterministic simulator, validates the trace against the five
-//     Appendix A.1.6 execution guarantees, re-runs every honest machine
-//     against its recorded inputs (sim.Conforms), and checks Termination,
-//     Agreement, and a pluggable validity property. The CampaignReport is
-//     JSON-serializable and byte-identical at every parallelism level:
-//     probes are computed concurrently but aggregated strictly in seed
-//     order, and wall-clock statistics stay out of the encoding.
+//     probe builds the strategy's plan for its seed and runs it through
+//     Probe, lean by default (RecordFull verifies every seed). The
+//     CampaignReport is JSON-serializable and byte-identical at every
+//     parallelism level: probes are computed concurrently but aggregated
+//     strictly in seed order, and wall-clock statistics stay out of the
+//     encoding.
 //
 //   - Shrink (plan.go, shrink.go) — minimizes a found violation in the
 //     delta-debugging style: the fault plan exercised by the violating
@@ -38,9 +46,9 @@
 //     message identities plus replayable Byzantine machine specs), then
 //     greedily reduced — fewer corrupted processes, fewer omitted
 //     messages, and, when the protocol is available at smaller sizes, a
-//     smaller n — re-validating every candidate with omission.Validate
-//     and sim.Conforms. Recheck independently re-validates the final
-//     certificate from scratch, CheckViolation-style.
+//     smaller n — re-validating every candidate through RunVerified.
+//     Recheck independently re-validates the final certificate from
+//     scratch through the same runner, CheckViolation-style.
 //
 // The falsifier proves one theorem's construction; campaigns search the
 // whole space around it. Both end the same way: a minimal execution a

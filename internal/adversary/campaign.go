@@ -9,7 +9,6 @@ import (
 	"expensive/internal/experiments/runner"
 	"expensive/internal/msg"
 	"expensive/internal/obs"
-	"expensive/internal/omission"
 	"expensive/internal/proc"
 	"expensive/internal/sim"
 	"expensive/internal/validity"
@@ -188,15 +187,17 @@ func (v *Violation) String() string {
 	return fmt.Sprintf("seed %d: %s violation: %s", v.Seed, v.Kind, v.Detail)
 }
 
-// violationIn checks Termination, Agreement, and the validity property on
-// a recorded execution and returns the first violation found (scanning
-// correct processes in ID order, so the verdict is deterministic).
+// CheckExecution returns the first Termination/Agreement/validity
+// violation of a recorded execution, or nil when every property holds.
+// Correct processes are scanned in ID order, so the verdict is
+// deterministic. It works at both recording tiers and is the probe
+// verdict of campaigns, the fuzzer, the shrinker and Recheck.
 //
 // With a nil compat relation, Agreement is strict decision equality and
 // validity is checked once against the common decision. With a compat
 // relation, Agreement is the relation over all correct pairs and validity
 // is checked against every correct decision.
-func violationIn(e *sim.Execution, proposals []msg.Value, validity ValidityFunc, compat AgreementFunc) *Violation {
+func CheckExecution(e *sim.Execution, proposals []msg.Value, validity ValidityFunc, compat AgreementFunc) *Violation {
 	correct := e.Correct()
 	members := correct.Members()
 	if compat == nil {
@@ -285,35 +286,6 @@ func violationIn(e *sim.Execution, proposals []msg.Value, validity ValidityFunc,
 		}
 	}
 	return nil
-}
-
-// CheckExecution returns the first Termination/Agreement/validity
-// violation of a recorded execution, in the campaign's deterministic
-// verdict order, or nil when every property holds. It works at both
-// recording tiers and is the probe verdict shared by campaigns and the
-// coverage-guided fuzzer (package fuzz).
-func CheckExecution(e *sim.Execution, proposals []msg.Value, validity ValidityFunc, compat AgreementFunc) *Violation {
-	return violationIn(e, proposals, validity, compat)
-}
-
-// ByzantineSkip returns the processes whose machines the plan replaced —
-// the set sim.Conforms must skip, since no honest machine produced their
-// behavior.
-func ByzantineSkip(plan sim.FaultPlan, faulty proc.Set) proc.Set {
-	return byzSkip(plan, faulty)
-}
-
-// byzSkip returns the processes whose machines the plan replaced — the
-// set sim.Conforms must skip, since no honest machine produced their
-// behavior.
-func byzSkip(plan sim.FaultPlan, faulty proc.Set) proc.Set {
-	skip := proc.Set{}
-	for _, id := range faulty.Members() {
-		if plan.Byzantine(id) != nil {
-			skip = skip.Add(id)
-		}
-	}
-	return skip
 }
 
 // Bucket is one exact-value histogram bucket.
@@ -518,11 +490,7 @@ func (c *Campaign) validate() error {
 
 // env resolves the probe environment of the campaign.
 func (c *Campaign) env() Env {
-	horizon := c.Horizon
-	if horizon <= 0 {
-		horizon = c.Rounds + 2
-	}
-	return Env{N: c.N, T: c.T, Rounds: c.Rounds, Horizon: horizon, Factory: c.Factory}
+	return Env{N: c.N, T: c.T, Rounds: c.Rounds, Horizon: Horizon(c.Horizon, c.Rounds), Factory: c.Factory}
 }
 
 // defaultProposals is the generic seeded input generator: uniform random
@@ -675,102 +643,39 @@ func (c *Campaign) shrinkOptions(env Env) ShrinkOptions {
 	}
 }
 
-// probe executes one seed. At the default lean tier it runs the engine at
-// sim.RecordDecisions — enough to read decisions, rounds and message
-// counts — and only a seed whose probe violates a property pays for the
-// full pipeline: a deterministic re-run at sim.RecordFull, trace
-// validation against the Appendix A.1.6 guarantees, conformance
-// re-execution of every honest machine, and evidence extraction. With
-// RecordFull set, every seed runs that pipeline (the pre-tiered behavior).
+// probe executes one seed through Probe: at sim.RecordDecisions by
+// default, so only a violating seed pays for the full evidence pipeline,
+// or at sim.RecordFull on every seed when c.RecordFull is set.
 func (c *Campaign) probe(seed int64, env Env, co campaignObs) (probeResult, error) {
 	t := co.probeNS.StartTimer()
 	defer func() {
 		t.Stop()
 		co.probes.Inc()
 	}()
-	plan := c.Strategy.Build(seed, env)
-	proposals := c.proposalsFor(seed, env)
 	rec := sim.RecordDecisions
 	if c.RecordFull {
 		rec = sim.RecordFull
 	}
-	cfg := sim.Config{N: c.N, T: c.T, Proposals: proposals, MaxRounds: env.Horizon, Recording: rec}
-	e, err := sim.Run(cfg, c.Factory, plan)
+	build := func() sim.FaultPlan { return c.Strategy.Build(seed, env) }
+	e, v, err := Probe(env, c.proposalsFor(seed, env), build, rec, c.Validity, c.Agreement)
 	if err != nil {
 		return probeResult{}, fmt.Errorf("seed %d: %w", seed, err)
 	}
-	if c.RecordFull {
-		// Every engine-produced trace must satisfy the execution model, and
-		// every honest machine must conform to its recording — failures here
-		// are engine or protocol-determinism bugs, not protocol violations.
-		//balint:allow leantier guarded by c.RecordFull: this branch only sees full traces
-		if err := omission.Validate(e); err != nil {
-			return probeResult{}, fmt.Errorf("seed %d: invalid trace: %w", seed, err)
-		}
-		//balint:allow leantier guarded by c.RecordFull: this branch only sees full traces
-		if err := sim.Conforms(e, c.Factory, byzSkip(plan, e.Faulty)); err != nil {
-			return probeResult{}, fmt.Errorf("seed %d: conformance: %w", seed, err)
-		}
-	}
-
 	res := probeResult{messages: e.CorrectMessages(), rounds: e.Rounds}
 	co.messages.Add(int64(res.messages))
-	v := violationIn(e, proposals, c.Validity, c.Agreement)
 	if v == nil {
 		return res, nil
 	}
 	co.violations.Inc()
+	if !c.RecordFull {
+		co.replays.Inc()
+	}
 	if co.sink != nil {
 		co.sink.Emit("violation-found",
 			"protocol", c.Protocol, "strategy", c.Strategy.Name,
 			"seed", seed, "kind", v.Kind, "detail", v.Detail)
 	}
-	if !c.RecordFull {
-		co.replays.Inc()
-		e, plan, err = c.replayFull(seed, env, proposals, v)
-		if err != nil {
-			return probeResult{}, err
-		}
-	}
 	v.Seed = seed
-	v.Proposals = proposals
-	// Materialize the exercised plan for replay and shrinking. Foreign
-	// Byzantine machines are the only non-replayable case; the violation
-	// is still reported, just without a plan.
-	if ep, err := Extract(e, plan); err == nil {
-		v.Plan = ep
-	}
 	res.v = v
 	return res, nil
-}
-
-// replayFull re-runs a violating seed at sim.RecordFull: a fresh plan
-// (Byzantine machines are stateful), the same proposals, the same horizon.
-// The engine is deterministic, so the replay reproduces the lean probe's
-// execution exactly — now with the message slices the validation pipeline
-// and the evidence extraction need. The replayed trace is held to the same
-// standard the pre-tiered campaign held every probe to, and the replayed
-// violation must match the lean verdict; any divergence is an engine or
-// protocol-determinism bug.
-func (c *Campaign) replayFull(seed int64, env Env, proposals []msg.Value, lean *Violation) (*sim.Execution, sim.FaultPlan, error) {
-	plan := c.Strategy.Build(seed, env)
-	cfg := sim.Config{N: c.N, T: c.T, Proposals: proposals, MaxRounds: env.Horizon}
-	e, err := sim.Run(cfg, c.Factory, plan)
-	if err != nil {
-		return nil, nil, fmt.Errorf("seed %d: full replay: %w", seed, err)
-	}
-	//balint:allow leantier replayFull records at the default RecordFull tier
-	if err := omission.Validate(e); err != nil {
-		return nil, nil, fmt.Errorf("seed %d: invalid trace: %w", seed, err)
-	}
-	//balint:allow leantier replayFull records at the default RecordFull tier
-	if err := sim.Conforms(e, c.Factory, byzSkip(plan, e.Faulty)); err != nil {
-		return nil, nil, fmt.Errorf("seed %d: conformance: %w", seed, err)
-	}
-	full := violationIn(e, proposals, c.Validity, c.Agreement)
-	if full == nil || full.Kind != lean.Kind || full.Witness1 != lean.Witness1 ||
-		full.Witness2 != lean.Witness2 || full.D1 != lean.D1 || full.D2 != lean.D2 {
-		return nil, nil, fmt.Errorf("seed %d: full replay does not reproduce the lean probe's %s violation — engine or protocol nondeterminism", seed, lean.Kind)
-	}
-	return e, plan, nil
 }

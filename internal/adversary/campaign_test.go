@@ -92,7 +92,7 @@ func TestCampaignFindsAndShrinksFloodSetSplit(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return violationIn(e, sh.Proposals, c.Validity, c.Agreement) != nil
+		return CheckExecution(e, sh.Proposals, c.Validity, c.Agreement) != nil
 	}
 	if !stillViolates(sh.Plan) {
 		t.Fatal("shrunk plan does not violate on replay")

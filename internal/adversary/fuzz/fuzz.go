@@ -32,7 +32,6 @@ import (
 	"expensive/internal/experiments/runner"
 	"expensive/internal/msg"
 	"expensive/internal/obs"
-	"expensive/internal/omission"
 	"expensive/internal/sim"
 )
 
@@ -185,11 +184,9 @@ func (f *Fuzzer) validate() error {
 	return nil
 }
 
-func (f *Fuzzer) horizon() int {
-	if f.Horizon > 0 {
-		return f.Horizon
-	}
-	return f.Rounds + 2
+// env resolves the probe environment of the fuzzer.
+func (f *Fuzzer) env() adversary.Env {
+	return adversary.Env{N: f.N, T: f.T, Rounds: f.Rounds, Horizon: adversary.Horizon(f.Horizon, f.Rounds), Factory: f.Factory}
 }
 
 func (f *Fuzzer) seedCount() int {
@@ -214,7 +211,7 @@ func (f *Fuzzer) ShrinkOptions() adversary.ShrinkOptions {
 		Rounds:    f.Rounds,
 		N:         f.N,
 		T:         f.T,
-		Horizon:   f.horizon(),
+		Horizon:   f.env().Horizon,
 		New:       f.New,
 		Validity:  f.Validity,
 		Agreement: f.Agreement,
@@ -283,7 +280,7 @@ type Prober struct {
 func (f *Fuzzer) Prober() *Prober {
 	return &Prober{
 		f:   f,
-		env: adversary.Env{N: f.N, T: f.T, Rounds: f.Rounds, Horizon: f.horizon(), Factory: f.Factory},
+		env: f.env(),
 		fo:  fuzzObsFrom(f.Ctx),
 	}
 }
@@ -295,10 +292,10 @@ func (p *Prober) Seed(i int) (Outcome, error) { return p.f.seedProbe(i, p.env, p
 // replay of violations, exactly like a mutation-generation probe.
 func (p *Prober) Candidate(c *Candidate) (Outcome, error) { return p.f.mutantProbe(c, p.env, p.fo) }
 
-// seedProbe runs one generation-0 probe: the seed strategy's plan at
-// RecordFull (the trace is needed to extract the replayable explicit plan
-// the mutation generations grow from), held to the evidence-grade checks —
-// Appendix A.1.6 validation and machine conformance — on every seed.
+// seedProbe runs one generation-0 probe: the seed strategy's plan through
+// adversary.RunVerified, at RecordFull on every seed (the trace is needed
+// to extract the replayable explicit plan the mutation generations grow
+// from).
 func (f *Fuzzer) seedProbe(i int, env adversary.Env, fo fuzzObs) (Outcome, error) {
 	t := fo.probeNS.StartTimer()
 	defer func() {
@@ -308,29 +305,16 @@ func (f *Fuzzer) seedProbe(i int, env adversary.Env, fo fuzzObs) (Outcome, error
 	seed := adversary.SubSeed(f.FuzzSeed, "seed|"+strconv.Itoa(i))
 	plan := f.Seed.Build(seed, env)
 	proposals := f.seedProposals(seed, env)
-	cfg := sim.Config{N: f.N, T: f.T, Proposals: proposals, MaxRounds: env.Horizon}
-	e, err := sim.Run(cfg, f.Factory, plan)
+	e, v, err := adversary.RunVerified(env, proposals, plan, f.Validity, f.Agreement)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("seed probe %d: %w", i, err)
 	}
-	if err := omission.Validate(e); err != nil {
-		return Outcome{}, fmt.Errorf("seed probe %d: invalid trace: %w", i, err)
-	}
-	if err := sim.Conforms(e, f.Factory, adversary.ByzantineSkip(plan, e.Faulty)); err != nil {
-		return Outcome{}, fmt.Errorf("seed probe %d: conformance: %w", i, err)
-	}
-	out := Outcome{Cov: coverage(e), Messages: e.CorrectMessages(), Rounds: e.Rounds}
-	v := adversary.CheckExecution(e, proposals, f.Validity, f.Agreement)
-	ep, eerr := adversary.Extract(e, plan)
-	if eerr == nil {
+	out := Outcome{Cov: coverage(e), Messages: e.CorrectMessages(), Rounds: e.Rounds, V: v}
+	if ep, err := adversary.Extract(e, plan); err == nil {
 		out.Cand = &Candidate{Plan: *ep, Proposals: proposals, Parent: -1, Op: "seed"}
-	}
-	if v != nil {
-		v.Proposals = proposals
-		if eerr == nil {
+		if v != nil {
 			v.Plan = ep
 		}
-		out.V = v
 	}
 	return out, nil
 }
@@ -348,56 +332,20 @@ func (f *Fuzzer) seedProposals(seed int64, env adversary.Env) []msg.Value {
 	return m.reseedProposals(adversary.Stream(seed, "proposals"))
 }
 
-// mutantProbe runs one mutated candidate at the lean RecordDecisions tier
-// — enough for the coverage hash and the property verdict — and only a
-// violating candidate pays for the full pipeline: a deterministic re-run
-// at RecordFull, trace validation, conformance re-execution, and evidence
-// extraction, exactly as campaign probes do.
+// mutantProbe runs one mutated candidate through adversary.Probe at the
+// lean RecordDecisions tier — enough for the coverage hash and the
+// property verdict — so only a violating candidate pays for the full
+// evidence pipeline, exactly as campaign probes do.
 func (f *Fuzzer) mutantProbe(c *Candidate, env adversary.Env, fo fuzzObs) (Outcome, error) {
 	t := fo.probeNS.StartTimer()
 	defer func() {
 		t.Stop()
 		fo.probes.Inc()
 	}()
-	fp := c.Plan.Plan(env)
-	cfg := sim.Config{N: f.N, T: f.T, Proposals: c.Proposals, MaxRounds: env.Horizon, Recording: sim.RecordDecisions}
-	e, err := sim.Run(cfg, f.Factory, fp)
+	build := func() sim.FaultPlan { return c.Plan.Plan(env) }
+	e, v, err := adversary.Probe(env, c.Proposals, build, sim.RecordDecisions, f.Validity, f.Agreement)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("mutant (%s of entry %d): %w", c.Op, c.Parent, err)
 	}
-	out := Outcome{Cov: coverage(e), Messages: e.CorrectMessages(), Rounds: e.Rounds, Cand: c}
-	lean := adversary.CheckExecution(e, c.Proposals, f.Validity, f.Agreement)
-	if lean == nil {
-		return out, nil
-	}
-
-	// Violation: replay at RecordFull (fresh machines — they are stateful)
-	// and run the full evidence pipeline. The engine is deterministic, so
-	// any divergence from the lean verdict is an engine or
-	// protocol-determinism bug, not a protocol violation.
-	fp2 := c.Plan.Plan(env)
-	cfg.Recording = sim.RecordFull
-	e2, err := sim.Run(cfg, f.Factory, fp2)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("mutant (%s of entry %d): full replay: %w", c.Op, c.Parent, err)
-	}
-	//balint:allow leantier guarded: the replay above runs at sim.RecordFull
-	if err := omission.Validate(e2); err != nil {
-		return Outcome{}, fmt.Errorf("mutant (%s of entry %d): invalid trace: %w", c.Op, c.Parent, err)
-	}
-	//balint:allow leantier guarded: the replay above runs at sim.RecordFull
-	if err := sim.Conforms(e2, f.Factory, adversary.ByzantineSkip(fp2, e2.Faulty)); err != nil {
-		return Outcome{}, fmt.Errorf("mutant (%s of entry %d): conformance: %w", c.Op, c.Parent, err)
-	}
-	full := adversary.CheckExecution(e2, c.Proposals, f.Validity, f.Agreement)
-	if full == nil || full.Kind != lean.Kind || full.Witness1 != lean.Witness1 ||
-		full.Witness2 != lean.Witness2 || full.D1 != lean.D1 || full.D2 != lean.D2 {
-		return Outcome{}, fmt.Errorf("mutant (%s of entry %d): full replay does not reproduce the lean probe's %s violation — engine or protocol nondeterminism", c.Op, c.Parent, lean.Kind)
-	}
-	full.Proposals = c.Proposals
-	if ep, err := adversary.Extract(e2, fp2); err == nil {
-		full.Plan = ep
-	}
-	out.V = full
-	return out, nil
+	return Outcome{Cov: coverage(e), Messages: e.CorrectMessages(), Rounds: e.Rounds, V: v, Cand: c}, nil
 }

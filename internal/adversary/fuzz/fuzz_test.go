@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -304,5 +305,62 @@ func TestFuzzerCorpusConcurrencyRace(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Errorf("concurrent fuzzer %d diverged from fuzzer 0", i)
 		}
+	}
+}
+
+// buildCountMachine decides in round 1 and sends nothing. The first n
+// machines its factory builds split (process 0 decides "0", the rest "1");
+// every later one decides "1". A lean probe over the first n builds
+// therefore violates Agreement, and its full replay does not.
+type buildCountMachine struct {
+	d       msg.Value
+	stepped bool
+}
+
+func (m *buildCountMachine) Init() []sim.Outgoing { return nil }
+func (m *buildCountMachine) Step(int, []msg.Message) []sim.Outgoing {
+	m.stepped = true
+	return nil
+}
+func (m *buildCountMachine) Decision() (msg.Value, bool) { return m.d, m.stepped }
+func (m *buildCountMachine) Quiescent() bool             { return true }
+
+func buildCountFactory(n int) sim.Factory {
+	var mu sync.Mutex
+	builds := 0
+	return func(id proc.ID, _ msg.Value) sim.Machine {
+		mu.Lock()
+		defer mu.Unlock()
+		builds++
+		d := msg.Value("1")
+		if builds <= n && id == 0 {
+			d = "0"
+		}
+		return &buildCountMachine{d: d}
+	}
+}
+
+// TestFullReplayNondeterminismGuard: when the full replay of a violating
+// lean probe does not reproduce the lean verdict, a lean campaign and a
+// fuzz candidate probe both fail with the nondeterminism error instead of
+// reporting a violation the evidence does not back.
+func TestFullReplayNondeterminismGuard(t *testing.T) {
+	const n, tf, rounds = 3, 1, 2
+	const want = "full replay does not reproduce the lean probe's agreement violation"
+	noFaults := adversary.Strategy{Name: "none", Build: func(int64, adversary.Env) sim.FaultPlan { return sim.NoFaults{} }}
+	c := &adversary.Campaign{
+		Protocol: "build-count", Factory: buildCountFactory(n), Rounds: rounds, N: n, T: tf,
+		Strategy: noFaults, Seeds: adversary.SeedRange{From: 0, To: 1}, Parallelism: 1,
+	}
+	if _, err := c.Run(); err == nil || !strings.HasPrefix(err.Error(), "seed 0: "+want) {
+		t.Errorf("lean campaign: got %v, want %q", err, "seed 0: "+want)
+	}
+	f := &Fuzzer{
+		Protocol: "build-count", Factory: buildCountFactory(n), Rounds: rounds, N: n, T: tf,
+		Seed: noFaults, Budget: 1,
+	}
+	_, err := f.Prober().Candidate(&Candidate{Proposals: []msg.Value{"0", "1", "1"}, Parent: -1, Op: "test"})
+	if err == nil || !strings.HasPrefix(err.Error(), "mutant (test of entry -1): "+want) {
+		t.Errorf("fuzz candidate: got %v, want %q", err, "mutant (test of entry -1): "+want)
 	}
 }

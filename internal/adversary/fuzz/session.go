@@ -71,24 +71,24 @@ func (f *Fuzzer) NewSession() (*Session, error) {
 }
 
 func (f *Fuzzer) newSession() *Session {
-	horizon := f.horizon()
+	env := f.env()
 	if f.Corpus == nil {
 		f.Corpus = NewCorpus(f.Protocol, f.N, f.T)
 	}
 	s := &Session{
 		f:      f,
-		env:    adversary.Env{N: f.N, T: f.T, Rounds: f.Rounds, Horizon: horizon, Factory: f.Factory},
+		env:    env,
 		fo:     fuzzObsFrom(f.Ctx),
 		corpus: f.Corpus,
 		seen:   make(map[uint64]bool, f.Corpus.Size()),
-		m:      mutator{n: f.N, t: f.T, horizon: horizon},
+		m:      mutator{n: f.N, t: f.T, horizon: env.Horizon},
 		report: &Report{
 			Protocol:     f.Protocol,
 			SeedStrategy: f.Seed.Name,
 			N:            f.N,
 			T:            f.T,
 			Rounds:       f.Rounds,
-			Horizon:      horizon,
+			Horizon:      env.Horizon,
 			Budget:       f.Budget,
 			CorpusLoaded: f.Corpus.Size(),
 			Workers:      runner.Workers(f.Parallelism),

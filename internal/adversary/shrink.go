@@ -5,7 +5,6 @@ import (
 
 	"expensive/internal/msg"
 	"expensive/internal/obs"
-	"expensive/internal/omission"
 	"expensive/internal/proc"
 	"expensive/internal/sim"
 )
@@ -83,39 +82,23 @@ type shrinker struct {
 	sink     *obs.Sink
 
 	// Current protocol instance (changes when n shrinks).
-	n       int
-	factory sim.Factory
-	rounds  int
-	horizon int
+	env Env
 
 	plan      ExplicitPlan
 	proposals []msg.Value
 	last      *Violation // violation of the current (accepted) state
 }
 
-// replay runs a candidate plan from scratch and returns the violation it
-// produces, or nil when the candidate no longer fails (or is not even a
-// valid, conformant execution — such candidates are rejected, keeping
-// every accepted step machine-checkable).
-func (s *shrinker) replay(plan ExplicitPlan, n int, factory sim.Factory, horizon int, proposals []msg.Value) *Violation {
+// replay runs a candidate plan from scratch through RunVerified and
+// returns the violation it produces, or nil when the candidate no longer
+// fails (or is not even a valid, conformant execution — such candidates
+// are rejected, keeping every accepted step machine-checkable).
+func (s *shrinker) replay(plan ExplicitPlan, env Env, proposals []msg.Value) *Violation {
 	s.steps++
 	s.obsSteps.Inc()
-	env := Env{N: n, T: s.opts.T, Rounds: s.rounds, Horizon: horizon, Factory: factory}
-	fp := plan.Plan(env)
-	cfg := sim.Config{N: n, T: s.opts.T, Proposals: proposals, MaxRounds: horizon}
-	e, err := sim.Run(cfg, factory, fp)
+	_, v, err := RunVerified(env, proposals, plan.Plan(env), s.opts.Validity, s.opts.Agreement)
 	if err != nil {
 		return nil
-	}
-	if omission.Validate(e) != nil {
-		return nil
-	}
-	if sim.Conforms(e, factory, byzSkip(fp, e.Faulty)) != nil {
-		return nil
-	}
-	v := violationIn(e, proposals, s.opts.Validity, s.opts.Agreement)
-	if v != nil {
-		v.Proposals = proposals
 	}
 	return v
 }
@@ -123,14 +106,14 @@ func (s *shrinker) replay(plan ExplicitPlan, n int, factory sim.Factory, horizon
 // try evaluates a candidate plan at the current size and accepts it when
 // the violation persists.
 func (s *shrinker) try(cand ExplicitPlan) bool {
-	v := s.replay(cand, s.n, s.factory, s.horizon, s.proposals)
+	v := s.replay(cand, s.env, s.proposals)
 	if v == nil {
 		return false
 	}
 	s.plan, s.last = cand, v
 	if s.sink != nil {
 		s.sink.Emit("shrink-step",
-			"n", s.n, "faulty", len(s.plan.Faulty), "omissions", s.plan.Omissions(), "step", s.steps)
+			"n", s.env.N, "faulty", len(s.plan.Faulty), "omissions", s.plan.Omissions(), "step", s.steps)
 	}
 	return true
 }
@@ -173,8 +156,8 @@ func (s *shrinker) minimizeN() {
 	if s.opts.New == nil {
 		return
 	}
-	for s.n > 2 && s.n-1 > s.opts.T {
-		n2 := s.n - 1
+	for s.env.N > 2 && s.env.N-1 > s.opts.T {
+		n2 := s.env.N - 1
 		factory2, rounds2, err := s.opts.New(n2, s.opts.T)
 		if err != nil {
 			return
@@ -187,19 +170,14 @@ func (s *shrinker) minimizeN() {
 		// replay a smaller-rounds protocol past (or short of) the window
 		// the violation was defined in — TestShrinkRederivesHorizon pins
 		// this with a rounds-reducing New.
-		horizon2 := rounds2 + (s.horizon - s.rounds)
+		env2 := Env{N: n2, T: s.opts.T, Rounds: rounds2, Horizon: rounds2 + (s.env.Horizon - s.env.Rounds), Factory: factory2}
 		plan2 := s.plan.filterTo(n2)
 		proposals2 := append([]msg.Value(nil), s.proposals[:n2]...)
-		// rounds must be updated before replay builds the Env.
-		oldRounds := s.rounds
-		s.rounds = rounds2
-		v := s.replay(plan2, n2, factory2, horizon2, proposals2)
+		v := s.replay(plan2, env2, proposals2)
 		if v == nil {
-			s.rounds = oldRounds
 			return
 		}
-		s.n, s.factory, s.horizon = n2, factory2, horizon2
-		s.plan, s.proposals, s.last = plan2, proposals2, v
+		s.env, s.plan, s.proposals, s.last = env2, plan2, proposals2, v
 	}
 }
 
@@ -214,16 +192,9 @@ func Shrink(v *Violation, opts ShrinkOptions) (*ShrinkResult, error) {
 	if opts.Factory == nil || opts.Rounds <= 0 || opts.N < 2 {
 		return nil, fmt.Errorf("shrink: options need Factory, Rounds and N")
 	}
-	horizon := opts.Horizon
-	if horizon <= 0 {
-		horizon = opts.Rounds + 2
-	}
 	s := &shrinker{
 		opts:      opts,
-		n:         opts.N,
-		factory:   opts.Factory,
-		rounds:    opts.Rounds,
-		horizon:   horizon,
+		env:       opts.env(),
 		plan:      v.Plan.clone(),
 		proposals: append([]msg.Value(nil), v.Proposals...),
 		obsSteps:  opts.Obs.Counter("shrink_steps"),
@@ -231,7 +202,7 @@ func Shrink(v *Violation, opts ShrinkOptions) (*ShrinkResult, error) {
 	}
 	// The materialized plan must reproduce a violation before anything is
 	// removed; if it does not, the certificate was never replayable.
-	if s.last = s.replay(s.plan, s.n, s.factory, s.horizon, s.proposals); s.last == nil {
+	if s.last = s.replay(s.plan, s.env, s.proposals); s.last == nil {
 		return nil, fmt.Errorf("shrink: violation of seed %d does not replay from its explicit plan", v.Seed)
 	}
 
@@ -241,18 +212,18 @@ func Shrink(v *Violation, opts ShrinkOptions) (*ShrinkResult, error) {
 	// work for the other, so iterate to a fixpoint (progress is monotone —
 	// n, |faulty| and omission counts only ever decrease).
 	for {
-		n, faulty, omits := s.n, len(s.plan.Faulty), s.plan.Omissions()
+		n, faulty, omits := s.env.N, len(s.plan.Faulty), s.plan.Omissions()
 		s.minimizeN()
 		s.minimizeElements()
-		if s.n == n && len(s.plan.Faulty) == faulty && s.plan.Omissions() == omits {
+		if s.env.N == n && len(s.plan.Faulty) == faulty && s.plan.Omissions() == omits {
 			break
 		}
 	}
 
 	return &ShrinkResult{
-		N:            s.n,
-		Rounds:       s.rounds,
-		Horizon:      s.horizon,
+		N:            s.env.N,
+		Rounds:       s.env.Rounds,
+		Horizon:      s.env.Horizon,
 		Plan:         s.plan,
 		Proposals:    s.proposals,
 		Kind:         s.last.Kind,
@@ -270,73 +241,55 @@ func Shrink(v *Violation, opts ShrinkOptions) (*ShrinkResult, error) {
 	}, nil
 }
 
+// env resolves the protocol environment the options describe.
+func (o ShrinkOptions) env() Env {
+	return Env{N: o.N, T: o.T, Rounds: o.Rounds, Horizon: Horizon(o.Horizon, o.Rounds), Factory: o.Factory}
+}
+
 // Recheck independently re-validates a violation certificate,
 // CheckViolation-style: the explicit plan (the shrunken one when present)
-// is replayed from scratch; the resulting execution must satisfy the five
-// Appendix A.1.6 guarantees, stay within the fault budget, conform to the
-// protocol's honest machines, and exhibit exactly the recorded violation.
+// is replayed from scratch through RunVerified, so the execution must
+// satisfy the five Appendix A.1.6 guarantees (the fault budget among
+// them) and conform to the protocol's honest machines, and it must
+// exhibit exactly the recorded violation.
 func Recheck(v *Violation, opts ShrinkOptions) error {
 	if v == nil {
 		return fmt.Errorf("recheck: nil violation")
 	}
-	plan, n, factory, rounds := v.Plan, opts.N, opts.Factory, opts.Rounds
-	proposals := v.Proposals
-	kind, w1, d1, w2, d2 := v.Kind, int(v.Witness1), v.D1, int(v.Witness2), v.D2
-	horizon := opts.Horizon
-	if horizon <= 0 {
-		horizon = rounds + 2
-	}
-	if v.Shrunk != nil {
-		sh := v.Shrunk
-		plan, n, rounds, proposals = &sh.Plan, sh.N, sh.Rounds, sh.Proposals
-		kind, w1, d1, w2, d2 = sh.Kind, sh.Witness1, sh.D1, sh.Witness2, sh.D2
+	env, plan, proposals, want := opts.env(), v.Plan, v.Proposals, v
+	if sh := v.Shrunk; sh != nil {
+		plan, proposals = &sh.Plan, sh.Proposals
+		want = &Violation{Kind: sh.Kind, Witness1: proc.ID(sh.Witness1), D1: sh.D1, Witness2: proc.ID(sh.Witness2), D2: sh.D2}
 		// Replay at the horizon the shrinker validated the minimal plan
 		// under (it tracks the campaign's Horizon slack across n changes).
-		horizon = sh.Horizon
-		if horizon <= 0 {
-			horizon = rounds + 2
-		}
-		if n != opts.N {
+		env.N, env.Rounds, env.Horizon = sh.N, sh.Rounds, Horizon(sh.Horizon, sh.Rounds)
+		if sh.N != opts.N {
 			if opts.New == nil {
-				return fmt.Errorf("recheck: shrunk to n=%d but no protocol constructor supplied", n)
+				return fmt.Errorf("recheck: shrunk to n=%d but no protocol constructor supplied", sh.N)
 			}
 			var err error
-			factory, rounds, err = opts.New(n, opts.T)
+			env.Factory, env.Rounds, err = opts.New(sh.N, opts.T)
 			if err != nil {
-				return fmt.Errorf("recheck: rebuild protocol at n=%d: %w", n, err)
+				return fmt.Errorf("recheck: rebuild protocol at n=%d: %w", sh.N, err)
 			}
 		}
 	}
 	if plan == nil {
 		return fmt.Errorf("recheck: violation carries no replayable plan")
 	}
-	if factory == nil {
+	if env.Factory == nil {
 		return fmt.Errorf("recheck: options carry no factory")
 	}
-
-	env := Env{N: n, T: opts.T, Rounds: rounds, Horizon: horizon, Factory: factory}
-	fp := plan.Plan(env)
-	cfg := sim.Config{N: n, T: opts.T, Proposals: proposals, MaxRounds: horizon}
-	e, err := sim.Run(cfg, factory, fp)
+	_, got, err := RunVerified(env, proposals, plan.Plan(env), opts.Validity, opts.Agreement)
 	if err != nil {
-		return fmt.Errorf("recheck: replay: %w", err)
+		return fmt.Errorf("recheck: %w", err)
 	}
-	if err := omission.Validate(e); err != nil {
-		return fmt.Errorf("recheck: execution invalid: %w", err)
-	}
-	if e.Faulty.Len() > opts.T {
-		return fmt.Errorf("recheck: %d faulty processes exceed t=%d", e.Faulty.Len(), opts.T)
-	}
-	if err := sim.Conforms(e, factory, byzSkip(fp, e.Faulty)); err != nil {
-		return fmt.Errorf("recheck: trace does not conform to the protocol: %w", err)
-	}
-	got := violationIn(e, proposals, opts.Validity, opts.Agreement)
 	if got == nil {
 		return fmt.Errorf("recheck: replayed execution exhibits no violation")
 	}
-	if got.Kind != kind || int(got.Witness1) != w1 || got.D1 != d1 || int(got.Witness2) != w2 || got.D2 != d2 {
-		return fmt.Errorf("recheck: replayed violation %q (%s/%s) does not match recorded %q (p%d/p%d)",
-			got.Kind, got.Witness1, got.Witness2, kind, w1, w2)
+	if !sameVerdict(got, want) {
+		return fmt.Errorf("recheck: replayed violation %q (%s/%s) does not match recorded %q (%s/%s)",
+			got.Kind, got.Witness1, got.Witness2, want.Kind, want.Witness1, want.Witness2)
 	}
 	return nil
 }

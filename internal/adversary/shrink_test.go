@@ -39,7 +39,7 @@ func handmadeFloodSetViolation(t *testing.T, n, tf int) (*Violation, ShrinkOptio
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := violationIn(e, proposals, WeakValidity, nil)
+	v := CheckExecution(e, proposals, WeakValidity, nil)
 	if v == nil || v.Kind != "agreement" {
 		t.Fatalf("handmade attack did not split FloodSet (violation: %v)", v)
 	}

@@ -268,8 +268,10 @@ func soakPlan(slot int, victim bool, seed int64) *chaosnet.Plan {
 // runSoak drives one kill-resume-under-chaos campaign: `workers` worker
 // slots with chaotic coordinator links, the first two slots carrying cut
 // rules that kill them deterministically; each slot respawns its worker
-// (incarnation + 1) until the campaign completes. Returns the report and
-// the number of kills (worker deaths followed by a respawn) observed.
+// (incarnation + 1) until the campaign completes. The other slots dial in
+// only after both victims have died once, so the two kills cannot depend
+// on how fast the non-victims drain the units. Returns the report and the
+// number of kills (worker deaths followed by a respawn) observed.
 func runSoak(t *testing.T, job *Job, workers int, seed int64) (*Report, int) {
 	t.Helper()
 	c := &Coordinator{
@@ -282,13 +284,21 @@ func runSoak(t *testing.T, job *Job, workers int, seed int64) (*Report, int) {
 		t.Fatal(err)
 	}
 	campaignDone := make(chan struct{})
-	var kills atomic.Int64
+	victimsDown := make(chan struct{}) // closed once both victims died once
+	var kills, victimDeaths atomic.Int64
 	var wg sync.WaitGroup
 	for slot := 0; slot < workers; slot++ {
 		slot, victim := slot, slot < 2
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if !victim {
+				select {
+				case <-victimsDown:
+				case <-campaignDone:
+					return
+				}
+			}
 			for incarnation := 0; incarnation < 100; incarnation++ {
 				w := &Worker{
 					Addr:        c.ListenAddr(),
@@ -308,6 +318,9 @@ func runSoak(t *testing.T, job *Job, workers int, seed int64) (*Report, int) {
 				default:
 				}
 				kills.Add(1)
+				if victim && incarnation == 0 && victimDeaths.Add(1) == 2 {
+					close(victimsDown)
+				}
 			}
 			t.Error("soak worker exceeded 100 incarnations — kill loop did not converge")
 			c.Drain() // fail fast rather than hang the coordinator forever

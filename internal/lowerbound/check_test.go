@@ -91,7 +91,7 @@ func TestCheckViolationRejectsTampering(t *testing.T) {
 				v.Witness1 = proc.ID(v.Exec.N - 1)
 				v.Witness2 = proc.ID(v.Exec.N - 2)
 			},
-			"",
+			"faulty-processes",
 		},
 	}
 	for _, tc := range mutations {

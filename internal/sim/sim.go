@@ -10,12 +10,13 @@
 // Everything downstream — the omission-model validator, swap_omission,
 // merge, and the lower-bound falsifier — operates on these traces. At
 // RecordDecisions the engine records only what the probe loops actually
-// read — per-process decisions and per-round message counts — and runs an
-// allocation-free round loop whose scratch buffers are pooled across Run
-// calls. Probe sweeps (hunt campaigns, the protocol × strategy matrix, the
-// falsifier families) probe lean and deterministically re-run the rare
-// violating configuration at RecordFull to reconstruct the full evidence
-// object.
+// read — per-process decisions and per-round message counts. Both tiers
+// run one round loop over scratch buffers pooled across Run calls; at the
+// lean tier it counts messages instead of retaining them and allocates
+// nothing per round. Probe sweeps (hunt campaigns, the protocol × strategy
+// matrix, the falsifier families) probe lean and deterministically re-run
+// the rare violating configuration at RecordFull to reconstruct the full
+// evidence object.
 //
 // Determinism contract: a Machine's outputs may depend only on its inputs
 // (proposal, round number, received messages). The engine delivers received
@@ -86,8 +87,8 @@ type Outgoing struct {
 // Init returns the messages sent in round 1 (they depend only on the
 // initial state). Step consumes the messages received in round r and
 // returns the messages to send in round r+1; the received slice is only
-// valid for the duration of the call — at the lean recording tier it is
-// backing-store the engine reuses — so machines must copy anything they
+// valid for the duration of the call — at both recording tiers it is
+// backing store the engine reuses — so machines must copy anything they
 // keep. Decision exposes the decision-bit component of the state; once
 // set it must never change. Quiescent reports that the machine will never
 // send again regardless of future inputs — the engine uses it for sound
@@ -557,33 +558,57 @@ func Run(cfg Config, factory Factory, plan FaultPlan) (*Execution, error) {
 		Behaviors: behaviors,
 		Recording: cfg.Recording,
 	}
-	var err error
-	if cfg.Recording == RecordDecisions {
-		err = runLean(cfg, e, machines, pending, plan, faulty, sc)
-	} else {
-		err = runFull(cfg, e, machines, pending, plan, faulty, sc)
-	}
-	if err != nil {
+	if err := run(cfg, e, machines, pending, plan, faulty, sc); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// runFull is the RecordFull round loop: the historical engine, recording
-// the four message slices per process per round. Its output is bit-for-bit
-// identical to the pre-tiered engine.
-func runFull(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing, plan FaultPlan, faulty proc.Set, sc *scratch) error {
+// run is the round loop of both tiers. Validation, fault-plan
+// consultation and the early-stop rule are shared; the tier decides only
+// what is recorded. RecordFull appends every message to the round's
+// fragment slices, RecordDecisions bumps per-round counts in one flat
+// array. Receive omissions are filtered out of the pooled inboxes in
+// place at both tiers; the full tier then copies the kept inbox into the
+// fragment's Received slice.
+func run(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing, plan FaultPlan, faulty proc.Set, sc *scratch) error {
 	inboxes, frags, seen := sc.inboxes, sc.frags, sc.seen
+	full := cfg.Recording == RecordFull
 
-	for i := 0; i < cfg.N; i++ {
-		e.Behaviors[i].Fragments = make([]Fragment, 0, cfg.MaxRounds)
+	var leans []LeanBehavior
+	if full {
+		for i := 0; i < cfg.N; i++ {
+			e.Behaviors[i].Fragments = make([]Fragment, 0, cfg.MaxRounds)
+		}
+	} else {
+		// One flat backing array for the 4·n per-round count series.
+		counts := make([]int, 4*cfg.N*cfg.MaxRounds)
+		leans = make([]LeanBehavior, cfg.N)
+		for i := 0; i < cfg.N; i++ {
+			off := 4 * i * cfg.MaxRounds
+			leans[i] = LeanBehavior{
+				Sent:           counts[off : off : off+cfg.MaxRounds],
+				SendOmitted:    counts[off+cfg.MaxRounds : off+cfg.MaxRounds : off+2*cfg.MaxRounds],
+				Received:       counts[off+2*cfg.MaxRounds : off+2*cfg.MaxRounds : off+3*cfg.MaxRounds],
+				ReceiveOmitted: counts[off+3*cfg.MaxRounds : off+3*cfg.MaxRounds : off+4*cfg.MaxRounds],
+			}
+			e.Behaviors[i].Lean = &leans[i]
+		}
 	}
 
 	for r := 1; r <= cfg.MaxRounds; r++ {
 		e.Rounds = r
 		for i := 0; i < cfg.N; i++ {
 			inboxes[i] = inboxes[i][:0]
-			frags[i] = Fragment{Round: r}
+			if full {
+				frags[i] = Fragment{Round: r}
+			} else {
+				l := &leans[i]
+				l.Sent = append(l.Sent, 0)
+				l.SendOmitted = append(l.SendOmitted, 0)
+				l.Received = append(l.Received, 0)
+				l.ReceiveOmitted = append(l.ReceiveOmitted, 0)
+			}
 		}
 
 		// Send phase.
@@ -605,10 +630,18 @@ func runFull(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing,
 					if !faulty.Contains(m.Sender) {
 						return fmt.Errorf("round %d: plan send-omits message of correct %s", r, m.Sender)
 					}
-					frags[i].SendOmitted = append(frags[i].SendOmitted, m)
+					if full {
+						frags[i].SendOmitted = append(frags[i].SendOmitted, m)
+					} else {
+						leans[i].SendOmitted[r-1]++
+					}
 					continue
 				}
-				frags[i].Sent = append(frags[i].Sent, m)
+				if full {
+					frags[i].Sent = append(frags[i].Sent, m)
+				} else {
+					leans[i].Sent[r-1]++
+				}
 				inboxes[out.To] = append(inboxes[out.To], m)
 			}
 		}
@@ -617,17 +650,28 @@ func runFull(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing,
 		// phase visits senders in ascending ID order within one round, and
 		// each sender contributes at most one message per inbox, so every
 		// inbox is born sorted by (round, sender, receiver) — no sort
-		// needed here.
+		// needed here. Filtering in place keeps that order.
 		for j := 0; j < cfg.N; j++ {
+			kept := inboxes[j][:0]
 			for _, m := range inboxes[j] {
 				if plan.ReceiveOmit(m) {
 					if !faulty.Contains(m.Receiver) {
 						return fmt.Errorf("round %d: plan receive-omits message of correct %s", r, m.Receiver)
 					}
-					frags[j].ReceiveOmitted = append(frags[j].ReceiveOmitted, m)
+					if full {
+						frags[j].ReceiveOmitted = append(frags[j].ReceiveOmitted, m)
+					} else {
+						leans[j].ReceiveOmitted[r-1]++
+					}
 					continue
 				}
-				frags[j].Received = append(frags[j].Received, m)
+				kept = append(kept, m)
+			}
+			inboxes[j] = kept
+			if full {
+				frags[j].Received = append([]msg.Message(nil), kept...)
+			} else {
+				leans[j].Received[r-1] = len(kept)
 			}
 		}
 
@@ -637,114 +681,14 @@ func runFull(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing,
 		// in a later (silent) round.
 		allQuiet := true
 		for i := 0; i < cfg.N; i++ {
-			pending[i] = machines[i].Step(r, frags[i].Received)
-			v, decided := machines[i].Decision()
-			if decided {
-				frags[i].Decided, frags[i].Decision = true, v
-			}
-			e.Behaviors[i].Fragments = append(e.Behaviors[i].Fragments, frags[i])
-			if len(pending[i]) > 0 || !machines[i].Quiescent() || !decided {
-				allQuiet = false
-			}
-		}
-
-		if allQuiet && !cfg.DisableEarlyStop {
-			e.Quiesced = true
-			break
-		}
-	}
-	return nil
-}
-
-// runLean is the RecordDecisions round loop: identical machine schedule
-// and fault-plan consultation order to runFull, but the engine only counts
-// messages instead of retaining them. The only per-run allocations are the
-// output object itself (one flat count array carved into per-behavior
-// slices) — all routing scratch comes from the pool, and receive-omission
-// filtering happens in place inside the pooled inboxes.
-func runLean(cfg Config, e *Execution, machines []Machine, pending [][]Outgoing, plan FaultPlan, faulty proc.Set, sc *scratch) error {
-	inboxes, seen := sc.inboxes, sc.seen
-
-	// One flat backing array for the 4·n per-round count series.
-	counts := make([]int, 4*cfg.N*cfg.MaxRounds)
-	leans := make([]LeanBehavior, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		off := 4 * i * cfg.MaxRounds
-		leans[i] = LeanBehavior{
-			Sent:           counts[off : off : off+cfg.MaxRounds],
-			SendOmitted:    counts[off+cfg.MaxRounds : off+cfg.MaxRounds : off+2*cfg.MaxRounds],
-			Received:       counts[off+2*cfg.MaxRounds : off+2*cfg.MaxRounds : off+3*cfg.MaxRounds],
-			ReceiveOmitted: counts[off+3*cfg.MaxRounds : off+3*cfg.MaxRounds : off+4*cfg.MaxRounds],
-		}
-		e.Behaviors[i].Lean = &leans[i]
-	}
-
-	for r := 1; r <= cfg.MaxRounds; r++ {
-		e.Rounds = r
-		for i := 0; i < cfg.N; i++ {
-			inboxes[i] = inboxes[i][:0]
-			l := &leans[i]
-			l.Sent = append(l.Sent, 0)
-			l.SendOmitted = append(l.SendOmitted, 0)
-			l.Received = append(l.Received, 0)
-			l.ReceiveOmitted = append(l.ReceiveOmitted, 0)
-		}
-
-		// Send phase: same validation and plan-consultation order as
-		// runFull, counting instead of recording.
-		for i := 0; i < cfg.N; i++ {
-			sc.gen++
-			l := &leans[i]
-			for _, out := range pending[i] {
-				if out.To == proc.ID(i) {
-					return fmt.Errorf("round %d: %s sent to itself", r, proc.ID(i))
-				}
-				if out.To < 0 || int(out.To) >= cfg.N {
-					return fmt.Errorf("round %d: %s sent to unknown process %d", r, proc.ID(i), out.To)
-				}
-				if seen[out.To] == sc.gen {
-					return fmt.Errorf("round %d: %s sent twice to %s", r, proc.ID(i), out.To)
-				}
-				seen[out.To] = sc.gen
-				m := msg.Message{Sender: proc.ID(i), Receiver: out.To, Round: r, Payload: out.Payload}
-				if plan.SendOmit(m) {
-					if !faulty.Contains(m.Sender) {
-						return fmt.Errorf("round %d: plan send-omits message of correct %s", r, m.Sender)
-					}
-					l.SendOmitted[r-1]++
-					continue
-				}
-				l.Sent[r-1]++
-				inboxes[out.To] = append(inboxes[out.To], m)
-			}
-		}
-
-		// Receive phase: filter receive-omitted messages out of the inbox
-		// in place (the inbox is not recorded, so it can be compacted).
-		for j := 0; j < cfg.N; j++ {
-			l := &leans[j]
-			kept := inboxes[j][:0]
-			for _, m := range inboxes[j] {
-				if plan.ReceiveOmit(m) {
-					if !faulty.Contains(m.Receiver) {
-						return fmt.Errorf("round %d: plan receive-omits message of correct %s", r, m.Receiver)
-					}
-					l.ReceiveOmitted[r-1]++
-					continue
-				}
-				kept = append(kept, m)
-			}
-			inboxes[j] = kept
-			l.Received[r-1] = len(kept)
-		}
-
-		// Compute phase: identical early-stop rule to runFull.
-		allQuiet := true
-		for i := 0; i < cfg.N; i++ {
 			pending[i] = machines[i].Step(r, inboxes[i])
 			v, decided := machines[i].Decision()
-			l := &leans[i]
-			if decided {
+			if full {
+				if decided {
+					frags[i].Decided, frags[i].Decision = true, v
+				}
+				e.Behaviors[i].Fragments = append(e.Behaviors[i].Fragments, frags[i])
+			} else if l := &leans[i]; decided {
 				// DecidedRound mirrors full-tier DecisionRound(): the first
 				// round ever decided, even if a (buggy) machine un-decides
 				// later — so it is stamped once and never reset.
